@@ -28,17 +28,12 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 ... -- --assert-zero-loss
 //! ```
 
-use ga_bench::header;
+use ga_bench::{header, smoke};
 use ga_core::flow::FlowEngine;
 use ga_core::sharded::{RebuildSource, ShardedFlow};
 use ga_stream::update::{into_batches, rmat_edge_stream, UpdateBatch};
 use std::path::PathBuf;
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
 

@@ -24,16 +24,11 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 GA_BENCH_SCALE=12 ... -- --assert-agreement
 //! ```
 
-use ga_bench::{eng, header};
+use ga_bench::{eng, header, smoke};
 use ga_graph::gen::{self, RmatParams};
 use ga_graph::{CompressedCsr, CsrBuilder, CsrGraph, VertexId};
 use ga_kernels::{bfs, cc, pagerank, sssp, triangles, KernelCtx};
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 const DAMPING: f64 = 0.85;
 /// Equal-iteration PageRank comparison: tol 0 forces every sweep.

@@ -16,7 +16,7 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 shrinks the stream
 //! ```
 
-use ga_bench::header;
+use ga_bench::{header, smoke};
 use ga_core::flow::{DegradationLevel, FlowEngine, OverloadConfig, PageRankAnalytic};
 use ga_graph::dynamic::ApplyResult;
 use ga_graph::DynamicGraph;
@@ -24,11 +24,6 @@ use ga_stream::admission::{AdmissionConfig, Priority};
 use ga_stream::update::{rmat_edge_stream, UpdateBatch};
 use ga_stream::{Event, EventKind, Monitor, Update};
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 /// One O(1) event per batch end — drives the trigger at a fixed rate so
 /// the analytic cost is per-batch, not per-update.

@@ -28,15 +28,10 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 GA_BENCH_SCALE=12 ... -- --assert-agreement
 //! ```
 
-use ga_bench::{eng, header};
+use ga_bench::{eng, header, smoke};
 use ga_core::sharded::{CrossShardTraffic, ShardedFlow};
 use ga_stream::update::{into_batches, rmat_edge_stream, uniform_edge_stream, UpdateBatch};
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const DAMPING: f64 = 0.85;

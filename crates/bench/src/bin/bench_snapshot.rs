@@ -19,17 +19,12 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 shrinks to scale 12, 3 reps
 //! ```
 
-use ga_bench::header;
+use ga_bench::{header, smoke};
 use ga_graph::gen;
 use ga_graph::snapshot::{freeze, SnapshotCache};
 use ga_graph::{DynamicGraph, Parallelism};
 use std::hint::black_box;
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 fn rmat_dynamic(scale: u32, edges_per_v: usize, seed: u64) -> DynamicGraph {
     let n = 1usize << scale;

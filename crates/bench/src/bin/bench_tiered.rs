@@ -29,7 +29,7 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 ... -- --assert-zero-loss
 //! ```
 
-use ga_bench::{eng, header};
+use ga_bench::{eng, header, smoke};
 use ga_core::calibrate::{measured_demands, projected_step_demands, CostCoefficients};
 use ga_core::flow::{FlowEngine, PageRankAnalytic, SelectionCriteria};
 use ga_graph::tier::{TierConfig, TieredCsr};
@@ -40,11 +40,6 @@ use ga_stream::update::{into_batches, rmat_edge_stream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 const BUDGET_PCTS: [u64; 3] = [100, 50, 25];
 

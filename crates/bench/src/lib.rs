@@ -49,6 +49,13 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// Whether a `bench_*` binary runs at smoke size: `GA_BENCH_SMOKE=1`
+/// in the environment or `--smoke` on the command line.
+pub fn smoke() -> bool {
+    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
+        || std::env::args().any(|a| a == "--smoke")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,6 +20,16 @@
 //!
 //! Every stage increments [`FlowStats`] — the calibration counters the
 //! NORA model (`crate::model`) prices.
+//!
+//! The streaming side is one staged ingest — **log → apply →
+//! observe/trigger → publish** — that every entry point runs a batch
+//! through: [`FlowEngine::process_stream`] (no log stage),
+//! [`FlowEngine::process_stream_durable`], [`FlowEngine::pump`] (one
+//! batch at a time, at the degradation rung in force),
+//! [`FlowEngine::replay_dead_letters`], the WAL replay inside
+//! [`FlowEngine::recover`] (logging off), and every routed delivery to
+//! a [`crate::sharded::ShardedFlow`] shard. Durability and degradation
+//! pick which stages run and how, not which code path.
 
 use crate::durability::{Checkpoint, Durability};
 use crate::retry::{CircuitBreaker, RetryPolicy};
@@ -612,6 +622,21 @@ struct ServePublisher {
     last: Option<(SnapshotEpoch, u64)>,
 }
 
+/// Where a batch handed to the staged ingest comes from, which decides
+/// its log stage.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// Caller-side non-durable ingest, or a WAL frame replayed by
+    /// recovery: never logged.
+    Unlogged,
+    /// A durable or pumped batch: written ahead to the WAL (when the
+    /// engine has one) before it is applied.
+    Logged,
+    /// The dead-letter queue's contents: logged like [`Origin::Logged`],
+    /// then the queue is drained just before the batch re-applies.
+    DeadLetters,
+}
+
 /// The Fig. 2 engine: a persistent graph with batch and streaming paths.
 pub struct FlowEngine {
     stream: StreamEngine,
@@ -1100,48 +1125,114 @@ impl FlowEngine {
     /// the chosen analytic on the extracted neighborhood ("use the
     /// modified vertices/edges as seeds into a subgraph extraction
     /// process similar to that described for the batch process").
+    ///
+    /// The batch runs through the staged ingest at the `Full` rung
+    /// without a log stage (see [`Self::process_stream_durable`] for
+    /// the write-ahead form).
     pub fn process_stream(
         &mut self,
         batch: &UpdateBatch,
         trigger: impl Fn(&Event) -> Option<Vec<VertexId>>,
         analytic_idx: Option<usize>,
     ) -> Vec<BatchRunReport> {
-        let reports = self.process_stream_inner(batch, trigger, analytic_idx, true);
-        self.publish_epoch();
-        reports
+        self.ingest(
+            batch,
+            Origin::Unlogged,
+            DegradationLevel::Full,
+            trigger,
+            analytic_idx,
+        )
+        .expect("an unlogged ingest has no failing stage")
     }
 
-    /// Shared streaming path. With `run_analytics` false (the
-    /// `SeedsOnly` degradation rung) triggers still fire and seeds are
-    /// still selected/counted, but each would-be analytic run is skipped
-    /// and counted in `analytics_skipped` instead.
-    fn process_stream_inner(
+    /// Deliver one routed shard sub-batch through the staged ingest:
+    /// logged when this engine has a WAL, applied at `Full` with no
+    /// trigger. Returns how many of its updates were quarantined.
+    pub(crate) fn deliver(&mut self, batch: &UpdateBatch) -> io::Result<usize> {
+        let before = self.stats.ingest.updates_quarantined;
+        self.ingest(
+            batch,
+            Origin::Logged,
+            DegradationLevel::Full,
+            |_| None,
+            None,
+        )?;
+        Ok(self.stats.ingest.updates_quarantined - before)
+    }
+
+    /// The one staged ingest every entry point runs a batch through:
+    ///
+    /// 1. **log** — unless the batch is [`Origin::Unlogged`], append it
+    ///    to the WAL (with retry and breaker) before it touches the
+    ///    engine; an append error returns here with nothing applied.
+    /// 2. **apply** — validate, quarantine and apply the updates, with
+    ///    the monitor fan-out unless `level` is `Shed`. The
+    ///    `updates_applied`/`updates_quarantined` counters move here
+    ///    and nowhere else.
+    /// 3. **observe/trigger** — count the monitors' events; each one
+    ///    the `trigger` turns into seeds runs the analytic, under the
+    ///    degraded budget at `PartialDeadline`. At `SeedsOnly` seeds
+    ///    are still counted but the run is skipped (`analytics_skipped`).
+    /// 4. **publish** — republish the serving epoch at `Full` and
+    ///    `PartialDeadline`; [`Self::pump`] publishes once after
+    ///    draining for the cheaper rungs.
+    fn ingest(
         &mut self,
         batch: &UpdateBatch,
+        origin: Origin,
+        level: DegradationLevel,
         trigger: impl Fn(&Event) -> Option<Vec<VertexId>>,
         analytic_idx: Option<usize>,
-        run_analytics: bool,
-    ) -> Vec<BatchRunReport> {
-        let quarantined = self.stream.apply_batch(batch);
+    ) -> io::Result<Vec<BatchRunReport>> {
+        if origin != Origin::Unlogged {
+            self.append_with_retry(batch)?;
+        }
+        if origin == Origin::DeadLetters {
+            // The batch is the queue's contents, now safely logged:
+            // still-invalid updates re-enter the queue as they apply.
+            self.stream.drain_dead_letters();
+        }
+        // The degraded budget is swapped in before the apply so its
+        // deadline (if any) covers the whole batch.
+        let standing_budget = (level == DegradationLevel::PartialDeadline).then(|| {
+            let o = &self.overload;
+            let degraded = match o.degraded_deadline {
+                Some(d) => Budget::ops_and_deadline(o.degraded_budget_ops, d),
+                None => Budget::ops(o.degraded_budget_ops),
+            };
+            std::mem::replace(&mut self.kernel_ctx.budget, degraded)
+        });
+
+        let quarantined = if level == DegradationLevel::Shed {
+            self.stream.apply_batch_unmonitored(batch)
+        } else {
+            self.stream.apply_batch(batch)
+        };
         self.stats.ingest.updates_applied += batch.updates.len() - quarantined;
         self.stats.ingest.updates_quarantined += quarantined;
+
         let events = self.stream.take_events();
         self.stats.ingest.events_observed += events.len();
         let mut reports = Vec::new();
         for ev in &events {
-            if let Some(seeds) = trigger(ev) {
-                self.stats.ingest.triggers_fired += 1;
-                if let Some(idx) = analytic_idx {
-                    self.stats.analytics.seeds_selected += seeds.len();
-                    if run_analytics {
-                        reports.push(self.run_batch_on_seeds(&seeds, idx));
-                    } else {
-                        self.stats.overload.analytics_skipped += 1;
-                    }
-                }
+            let Some(seeds) = trigger(ev) else { continue };
+            self.stats.ingest.triggers_fired += 1;
+            let Some(idx) = analytic_idx else { continue };
+            self.stats.analytics.seeds_selected += seeds.len();
+            if level == DegradationLevel::SeedsOnly {
+                self.stats.overload.analytics_skipped += 1;
+            } else {
+                reports.push(self.run_batch_on_seeds(&seeds, idx));
             }
         }
-        reports
+        if let Some(budget) = standing_budget {
+            self.kernel_ctx.budget = budget;
+        }
+
+        if level <= DegradationLevel::PartialDeadline {
+            self.publish_epoch();
+        }
+        Ok(reports)
     }
 
     // -----------------------------------------------------------------
@@ -1183,13 +1274,14 @@ impl FlowEngine {
         self.durability.as_ref().map(|d| d.last_checkpoint_seq())
     }
 
-    /// Durable form of [`Self::process_stream`]: the batch is appended
-    /// to the write-ahead log (fsynced) *before* it touches the engine,
-    /// so a crash at any later point replays it on recovery.
+    /// Durable form of [`Self::process_stream`]: the staged ingest's
+    /// log stage appends the batch to the write-ahead log (fsynced)
+    /// *before* it touches the engine, so a crash at any later point
+    /// replays it on recovery.
     ///
     /// Transient append failures are retried per the configured
     /// [`FlowConfig::retry`] policy (the torn tail is repaired between
-    /// attempts). With the default no-retry policy this is the PR 2
+    /// attempts). With the default no-retry policy this is the
     /// fail-fast contract: on a WAL error the engine state is untouched
     /// and the batch is NOT applied. Once the circuit breaker trips, the
     /// engine degrades to non-durable operation — the batch IS applied
@@ -1206,8 +1298,13 @@ impl FlowEngine {
                 "durability not enabled; build with durability_dir or recover first",
             ));
         }
-        self.append_with_retry(batch)?;
-        Ok(self.process_stream(batch, trigger, analytic_idx))
+        self.ingest(
+            batch,
+            Origin::Logged,
+            DegradationLevel::Full,
+            trigger,
+            analytic_idx,
+        )
     }
 
     /// Append `batch` to the WAL, retrying transient failures with the
@@ -1366,8 +1463,9 @@ impl FlowEngine {
         engine.stream.set_last_batch_time(ckpt.last_batch_time);
         engine.durability = Some(durability);
         for (_seq, batch) in &replay {
-            // Replay through the plain path: the frames are already in
-            // the log, and re-validation re-quarantines deterministically.
+            // Replay through the staged ingest with logging off: the
+            // frames are already in the log, and re-validation
+            // re-quarantines deterministically.
             engine.process_stream(batch, |_| None, None);
         }
         Ok(engine)
@@ -1560,11 +1658,11 @@ impl FlowEngine {
         }
     }
 
-    /// Drain up to `max_batches` admitted batches through the streaming
-    /// path, each at the degradation level in force when it is popped
-    /// (high-priority batches first):
+    /// Drain up to `max_batches` admitted batches through the staged
+    /// ingest, one batch per pass, each at the degradation level in
+    /// force when it is popped (high-priority batches first):
     ///
-    /// * `Full` — the normal [`Self::process_stream`] path.
+    /// * `Full` — every stage, as in [`Self::process_stream_durable`].
     /// * `PartialDeadline` — analytics run under
     ///   [`OverloadConfig::degraded_budget_ops`] (+ optional deadline)
     ///   and may return typed partial results (`deadline_partials`).
@@ -1578,8 +1676,10 @@ impl FlowEngine {
     /// analytics, never durability. If an append fails without tripping
     /// the breaker, the popped batch is re-queued at the front of its
     /// class before the error is returned, so a durability error never
-    /// silently loses an admitted batch. Returns the reports of analytic
-    /// runs that did execute.
+    /// silently loses an admitted batch. `Full` and `PartialDeadline`
+    /// batches republish the serving epoch as they land; the pump
+    /// republishes once more after draining, which covers the cheaper
+    /// rungs. Returns the reports of analytic runs that did execute.
     pub fn pump(
         &mut self,
         max_batches: usize,
@@ -1594,37 +1694,14 @@ impl FlowEngine {
                 break;
             };
             let t0 = Instant::now();
-            if let Err(e) = self.append_with_retry(&batch) {
-                // The batch never touched the graph; put it back at the
-                // front of its class so nothing admitted is lost to a
-                // durability error.
-                self.admission.requeue_front(class, batch);
-                return Err(e);
-            }
-            match level {
-                DegradationLevel::Full => {
-                    reports.extend(self.process_stream(&batch, &trigger, analytic_idx));
-                }
-                DegradationLevel::PartialDeadline => {
-                    let saved = std::mem::replace(
-                        &mut self.kernel_ctx.budget,
-                        match self.overload.degraded_deadline {
-                            Some(d) => {
-                                Budget::ops_and_deadline(self.overload.degraded_budget_ops, d)
-                            }
-                            None => Budget::ops(self.overload.degraded_budget_ops),
-                        },
-                    );
-                    reports.extend(self.process_stream(&batch, &trigger, analytic_idx));
-                    self.kernel_ctx.budget = saved;
-                }
-                DegradationLevel::SeedsOnly => {
-                    self.process_stream_inner(&batch, &trigger, analytic_idx, false);
-                }
-                DegradationLevel::Shed => {
-                    let quarantined = self.stream.apply_batch_unmonitored(&batch);
-                    self.stats.ingest.updates_applied += batch.updates.len() - quarantined;
-                    self.stats.ingest.updates_quarantined += quarantined;
+            match self.ingest(&batch, Origin::Logged, level, &trigger, analytic_idx) {
+                Ok(r) => reports.extend(r),
+                Err(e) => {
+                    // The log stage failed, so the batch never touched
+                    // the graph; put it back at the front of its class
+                    // so nothing admitted is lost to a durability error.
+                    self.admission.requeue_front(class, batch);
+                    return Err(e);
                 }
             }
             self.batch_latency.observe(t0.elapsed().as_secs_f64());
@@ -1633,7 +1710,7 @@ impl FlowEngine {
         // without waiting for the next pump.
         let level = self.degradation_level();
         self.note_level(level);
-        // Degraded rungs (SeedsOnly/Shed) bypass process_stream, so
+        // The SeedsOnly/Shed rungs skip the per-batch publish stage, so
         // republish here — degradation sheds analytics, never freshness.
         self.publish_epoch();
         Ok(reports)
@@ -1663,12 +1740,14 @@ impl FlowEngine {
             time: self.stream.last_batch_time(),
             updates,
         };
-        if self.durability.is_some() {
-            self.append_with_retry(&batch)?;
-        }
-        self.stream.drain_dead_letters();
         let before = self.stats.ingest.updates_quarantined;
-        self.process_stream(&batch, |_| None, None);
+        self.ingest(
+            &batch,
+            Origin::DeadLetters,
+            DegradationLevel::Full,
+            |_| None,
+            None,
+        )?;
         let requarantined = self.stats.ingest.updates_quarantined - before;
         Ok((batch.updates.len() - requarantined, requarantined))
     }
@@ -1798,6 +1877,7 @@ impl BatchAnalytic for JaccardAnalytic {
 mod tests {
     use super::*;
     use ga_graph::gen;
+    use ga_stream::engine::QuarantineReason;
     use ga_stream::update::{into_batches, Update};
     use ga_stream::EventKind;
 
@@ -2227,6 +2307,46 @@ mod tests {
         assert_eq!(e.stats().ingest.updates_applied, 2);
         // Queue is empty now; a second replay is a no-op.
         assert_eq!(e.replay_dead_letters().unwrap(), (0, 0));
+
+        // An unfixable update (NaN weight) is re-quarantined by the
+        // replay, for the same reason.
+        e.process_stream(
+            &UpdateBatch {
+                time: 2,
+                updates: vec![Update::EdgeInsert {
+                    src: 1,
+                    dst: 2,
+                    weight: f32::NAN,
+                }],
+            },
+            |_| None,
+            None,
+        );
+        assert_eq!(e.replay_dead_letters().unwrap(), (0, 1));
+        let letters: Vec<_> = e.dead_letters().map(|l| l.reason).collect();
+        assert_eq!(letters, [QuarantineReason::NonFiniteWeight]);
+        assert_eq!(e.stats().ingest.updates_quarantined, 3);
+        e.drain_dead_letters();
+
+        // A stale batch is dead-lettered whole for NonMonotonicTime; the
+        // replay readmits it at the watermark without moving the clock.
+        let edge = |time, src, dst| UpdateBatch {
+            time,
+            updates: vec![Update::EdgeInsert {
+                src,
+                dst,
+                weight: 1.0,
+            }],
+        };
+        e.process_stream(&edge(10, 2, 3), |_| None, None);
+        e.process_stream(&edge(3, 1, 3), |_| None, None);
+        assert_eq!(
+            e.dead_letters().next().map(|l| l.reason),
+            Some(QuarantineReason::NonMonotonicTime)
+        );
+        assert_eq!(e.replay_dead_letters().unwrap(), (1, 0));
+        assert!(e.graph().has_edge(1, 3));
+        assert_eq!(e.stream.last_batch_time(), 10);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   its endpoints' owner shards. A cross-shard edge is delivered to
 //!   both owners; the second delivery materializes a *ghost* (halo)
 //!   entry and is priced at [`UPDATE_WIRE_BYTES`] in the cross-shard
-//!   traffic model.
+//!   traffic model. Each shard applies its sub-batch through its
+//!   engine's staged ingest, logged first on durable fleets.
 //! * **Batch analytics** — scatter-gather: each shard computes a
 //!   partial over the vertices it owns ([`ga_kernels::scatter`]), the
 //!   router merges. PageRank keeps every floating-point reduction in
@@ -65,7 +66,7 @@
 //! degraded window under the shard fault matrix.
 
 use crate::faults::{check, with_scope};
-use crate::flow::{FlowEngine, FlowStats};
+use crate::flow::{FlowConfig, FlowEngine, FlowStats};
 use ga_graph::{DynamicGraph, EdgeRecord, PropertyStore, Timestamp, VertexId};
 use ga_kernels::cc::Components;
 use ga_kernels::pagerank::PageRankResult;
@@ -529,34 +530,50 @@ impl ShardedConfig {
         self
     }
 
+    /// The one recipe every shard engine is built from — fleet build,
+    /// fleet recovery, and both rebuild paths. Shard `i` gets its label
+    /// (error prefix, recorder label), its own durability and tier
+    /// directories, and the fleet-wide knobs. [`FlowConfig::recover`]
+    /// ignores the persisted knobs (symmetrize, vertex limit, durability
+    /// directory) in favour of the checkpoint's.
+    fn shard_config(&self, i: usize) -> FlowConfig {
+        let label = shard_label(i);
+        let mut cfg = FlowEngine::builder()
+            .symmetrize(self.symmetrize)
+            .shard_label(label.clone())
+            // The supervisor owns shard-failure policy: it must
+            // classify a shard Dead before the engine-level breaker
+            // suspends durability underneath it.
+            .breaker_threshold(self.suspect_strikes.saturating_add(1));
+        if let Some(limit) = self.vertex_limit {
+            cfg = cfg.vertex_limit(limit);
+        }
+        if self.record_metrics {
+            cfg = cfg.recorder(Recorder::labeled(label));
+        }
+        if let Some(base) = &self.durability_base {
+            cfg = cfg.durability_dir(shard_dir(base, i));
+        }
+        if let Some(t) = &self.tier {
+            cfg = cfg.tiered(shard_tier_config(t, i));
+        }
+        cfg
+    }
+
+    /// Recover shard `i` from its directory under `base`, inside the
+    /// shard's fault scope.
+    fn recover_shard(&self, base: &Path, i: usize) -> io::Result<FlowEngine> {
+        with_scope(&shard_label(i), || {
+            self.shard_config(i).recover(shard_dir(base, i))
+        })
+    }
+
     /// Build the fleet over an empty global graph of `num_vertices`.
     pub fn build(self, num_vertices: usize) -> io::Result<ShardedFlow> {
-        let plan = ShardPlan::new(self.num_shards);
-        let mut shards = Vec::with_capacity(self.num_shards);
-        for i in 0..self.num_shards {
-            let label = shard_label(i);
-            let mut cfg = FlowEngine::builder()
-                .symmetrize(self.symmetrize)
-                .shard_label(label.clone())
-                // The supervisor owns shard-failure policy: it must
-                // classify a shard Dead before the engine-level
-                // breaker suspends durability underneath it.
-                .breaker_threshold(self.suspect_strikes.saturating_add(1));
-            if let Some(limit) = self.vertex_limit {
-                cfg = cfg.vertex_limit(limit);
-            }
-            if self.record_metrics {
-                cfg = cfg.recorder(Recorder::labeled(label));
-            }
-            if let Some(base) = &self.durability_base {
-                cfg = cfg.durability_dir(shard_dir(base, i));
-            }
-            if let Some(t) = &self.tier {
-                cfg = cfg.tiered(shard_tier_config(t, i));
-            }
-            shards.push(cfg.build(num_vertices)?);
-        }
-        Ok(self.assemble(plan, shards, self.symmetrize))
+        let shards = (0..self.num_shards)
+            .map(|i| self.shard_config(i).build(num_vertices))
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(self.assemble(shards))
     }
 
     /// Recover the whole fleet from per-shard durability directories
@@ -573,24 +590,10 @@ impl ShardedConfig {
         // logging under the same base, so assemble() must see it —
         // otherwise post-recovery ingest would silently bypass the WAL.
         self.durability_base = Some(base.to_path_buf());
-        let plan = ShardPlan::new(self.num_shards);
         let mut shards = Vec::with_capacity(self.num_shards);
         let mut failures: Vec<String> = Vec::new();
         for i in 0..self.num_shards {
-            let label = shard_label(i);
-            let result = with_scope(&label, || {
-                let mut cfg = FlowEngine::builder()
-                    .shard_label(label.clone())
-                    .breaker_threshold(self.suspect_strikes.saturating_add(1));
-                if self.record_metrics {
-                    cfg = cfg.recorder(Recorder::labeled(label.clone()));
-                }
-                if let Some(t) = &self.tier {
-                    cfg = cfg.tiered(shard_tier_config(t, i));
-                }
-                cfg.recover(shard_dir(base, i))
-            });
-            match result {
+            match self.recover_shard(base, i) {
                 Ok(engine) => shards.push(engine),
                 Err(e) => failures.push(e.to_string()),
             }
@@ -603,26 +606,20 @@ impl ShardedConfig {
                 failures.join("; ")
             )));
         }
-        let symmetrize = shards.first().map(|s| s.symmetrize()).unwrap_or(true);
-        Ok(self.assemble(plan, shards, symmetrize))
+        // The persisted knob wins: every shard checkpointed the fleet's
+        // symmetrize setting.
+        self.symmetrize = shards.first().map(|s| s.symmetrize()).unwrap_or(true);
+        Ok(self.assemble(shards))
     }
 
-    fn assemble(&self, plan: ShardPlan, shards: Vec<FlowEngine>, symmetrize: bool) -> ShardedFlow {
+    fn assemble(self, shards: Vec<FlowEngine>) -> ShardedFlow {
         let n = shards.len();
         ShardedFlow {
-            plan,
+            plan: ShardPlan::new(n),
             supervisor: ShardSupervisor::new(n, self.suspect_strikes),
             labels: (0..n).map(shard_label).collect(),
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             shards,
-            symmetrize,
-            durable: self.durability_base.is_some(),
-            replicate: self.replicate,
-            vertex_limit: self.vertex_limit,
-            record_metrics: self.record_metrics,
-            suspect_strikes: self.suspect_strikes,
-            base: self.durability_base.clone(),
-            tier: self.tier.clone(),
             clock: 0,
             ghost_updates: 0,
             lost_updates: 0,
@@ -633,6 +630,7 @@ impl ShardedConfig {
             } else {
                 Recorder::disabled()
             },
+            config: self,
         }
     }
 }
@@ -648,16 +646,11 @@ pub struct ShardedFlow {
     /// dropped router deliveries, and (durable fleets) the backlog of
     /// a dead shard awaiting its rebuild.
     pending: Vec<VecDeque<UpdateBatch>>,
-    symmetrize: bool,
-    durable: bool,
-    replicate: bool,
-    vertex_limit: Option<usize>,
-    record_metrics: bool,
-    suspect_strikes: u32,
-    base: Option<PathBuf>,
-    /// Per-shard tier template (None = untiered fleet); reapplied when a
-    /// dead shard is rebuilt so the rebuilt member spills again.
-    tier: Option<ga_graph::tier::TierConfig>,
+    /// The fleet's configuration: every shard engine — built, recovered
+    /// or rebuilt — comes from its [`ShardedConfig::shard_config`]
+    /// recipe. A recovered fleet carries its recovery base and the
+    /// checkpointed symmetrize setting here.
+    config: ShardedConfig,
     /// Fleet clock: the time of the last routed batch, used to stamp
     /// health events and journal lines.
     clock: Timestamp,
@@ -712,7 +705,7 @@ impl ShardedFlow {
 
     /// Whether deliveries are mirrored to ring-successor replicas.
     pub fn replicated(&self) -> bool {
-        self.replicate
+        self.config.replicate
     }
 
     /// Ghost (second-copy) update deliveries so far.
@@ -774,7 +767,7 @@ impl ShardedFlow {
                 continue;
             }
             let succ = self.plan.successor(i);
-            if self.replicate && succ != i && self.supervisor.is_serving(succ) {
+            if self.config.replicate && succ != i && self.supervisor.is_serving(succ) {
                 failed_over.push(i);
             } else {
                 uncovered.push(i);
@@ -791,7 +784,7 @@ impl ShardedFlow {
         if self.supervisor.is_serving(owner) {
             return Some(owner);
         }
-        if self.replicate {
+        if self.config.replicate {
             let succ = self.plan.successor(owner);
             if succ != owner && self.supervisor.is_serving(succ) {
                 return Some(succ);
@@ -862,7 +855,9 @@ impl ShardedFlow {
     /// across shards.
     pub fn process_batch(&mut self, batch: &UpdateBatch) -> io::Result<usize> {
         self.clock = batch.time;
-        let (sub, ghosts, replicas) = self.plan.route_batch_replicated(batch, self.replicate);
+        let (sub, ghosts, replicas) = self
+            .plan
+            .route_batch_replicated(batch, self.config.replicate);
         self.ghost_updates += ghosts;
         let ghost_bytes = ghosts * UPDATE_WIRE_BYTES;
         let replica_bytes = replicas * UPDATE_WIRE_BYTES;
@@ -890,11 +885,11 @@ impl ShardedFlow {
             self.kill_shard(i, "injected crash");
         }
         if !self.supervisor.is_serving(i) {
-            if self.durable {
+            if self.config.durability_base.is_some() {
                 // The rebuild will recover the WAL and then drain this
                 // backlog, so nothing is lost.
                 self.pending[i].push_back(b);
-            } else if !self.replicate {
+            } else if !self.config.replicate {
                 // No durability, no replica: this is the one genuine
                 // loss channel, and it is counted.
                 self.lost_updates += b.updates.len() as u64;
@@ -929,41 +924,41 @@ impl ShardedFlow {
     fn drain_pending(&mut self, i: usize) -> usize {
         let mut quarantined = 0;
         while let Some(batch) = self.pending[i].pop_front() {
-            let before = self.shards[i].stats().ingest.updates_quarantined;
-            let durable = self.durable;
-            let label = &self.labels[i];
             let engine = &mut self.shards[i];
-            let result = with_scope(label, || {
-                if durable {
-                    engine
-                        .process_stream_durable(&batch, |_| None, None)
-                        .map(|_| ())
-                } else {
-                    engine.process_stream(&batch, |_| None, None);
-                    Ok(())
-                }
-            });
+            let result = with_scope(&self.labels[i], || engine.deliver(&batch));
+            self.supervise(i, &result, "delivery succeeded");
             match result {
-                Ok(()) => {
-                    quarantined += self.shards[i].stats().ingest.updates_quarantined - before;
-                    let tr = self.supervisor.record_success(self.clock, i);
-                    self.journal_transition(i, tr, "delivery succeeded");
-                }
-                Err(e) => {
+                Ok(q) => quarantined += q,
+                Err(_) => {
                     // The engine applies nothing on a failed durable
                     // append, so requeuing the whole batch is exact.
                     self.pending[i].push_front(batch);
-                    let msg = e.to_string();
-                    let tr = self.supervisor.record_error(self.clock, i, &msg);
-                    self.journal_transition(i, tr, &msg);
-                    if self.supervisor.health(i) == ShardHealth::Dead {
-                        self.decommission(i);
-                    }
                     break;
                 }
             }
         }
         quarantined
+    }
+
+    /// Book one delivery or checkpoint outcome on shard `i` with the
+    /// supervisor and journal any health transition: a success clears
+    /// the shard's strikes, an error takes one, and a shard the error
+    /// struck dead is decommissioned.
+    fn supervise<T>(&mut self, i: usize, result: &io::Result<T>, success: &str) {
+        match result {
+            Ok(_) => {
+                let tr = self.supervisor.record_success(self.clock, i);
+                self.journal_transition(i, tr, success);
+            }
+            Err(e) => {
+                let msg = e.to_string();
+                let tr = self.supervisor.record_error(self.clock, i, &msg);
+                self.journal_transition(i, tr, &msg);
+                if self.supervisor.health(i) == ShardHealth::Dead {
+                    self.decommission(i);
+                }
+            }
+        }
     }
 
     /// Checkpoint every serving shard. A shard's checkpoint failure is
@@ -985,21 +980,10 @@ impl ShardedFlow {
             let label = &self.labels[i];
             let engine = &mut self.shards[i];
             let result = with_scope(label, || engine.checkpoint());
+            self.supervise(i, &result, "checkpoint succeeded");
             match result {
-                Ok(p) => {
-                    let tr = self.supervisor.record_success(self.clock, i);
-                    self.journal_transition(i, tr, "checkpoint succeeded");
-                    report.paths.push((i, p));
-                }
-                Err(e) => {
-                    let msg = e.to_string();
-                    let tr = self.supervisor.record_error(self.clock, i, &msg);
-                    self.journal_transition(i, tr, &msg);
-                    if self.supervisor.health(i) == ShardHealth::Dead {
-                        self.decommission(i);
-                    }
-                    report.failed.push((i, msg));
-                }
+                Ok(p) => report.paths.push((i, p)),
+                Err(e) => report.failed.push((i, e.to_string())),
             }
         }
         if report.paths.is_empty() && !report.failed.is_empty() {
@@ -1075,9 +1059,9 @@ impl ShardedFlow {
         let started = Instant::now();
         let tr = self.supervisor.begin_rebuild(self.clock, i);
         self.journal_transition(i, tr, "rebuild started");
-        let result = if self.durable {
-            self.rebuild_from_wal(i)
-        } else if self.replicate && self.num_shards() >= 2 {
+        let result = if let Some(base) = self.config.durability_base.clone() {
+            self.rebuild_from_wal(&base, i)
+        } else if self.config.replicate && self.num_shards() >= 2 {
             self.rebuild_from_replica(i)
         } else {
             Err(io::Error::other(format!(
@@ -1106,33 +1090,18 @@ impl ShardedFlow {
         }
     }
 
-    fn rebuild_from_wal(&mut self, i: usize) -> io::Result<(RebuildSource, usize, usize)> {
-        let base = self
-            .base
-            .clone()
-            .ok_or_else(|| io::Error::other("durable fleet missing its base directory"))?;
-        let label = shard_label(i);
-        let engine = with_scope(&label, || {
-            let mut cfg = FlowEngine::builder()
-                .shard_label(label.clone())
-                .breaker_threshold(self.suspect_strikes.saturating_add(1));
-            if self.record_metrics {
-                cfg = cfg.recorder(Recorder::labeled(label.clone()));
-            }
-            if let Some(t) = &self.tier {
-                cfg = cfg.tiered(shard_tier_config(t, i));
-            }
-            cfg.recover(shard_dir(&base, i))
-        })?;
-        self.shards[i] = engine;
+    fn rebuild_from_wal(
+        &mut self,
+        base: &Path,
+        i: usize,
+    ) -> io::Result<(RebuildSource, usize, usize)> {
+        self.shards[i] = self.config.recover_shard(base, i)?;
         // Redeliver the backlog that queued while the shard was dead.
         let mut batches = 0;
         let mut updates = 0;
         while let Some(batch) = self.pending[i].pop_front() {
             let engine = &mut self.shards[i];
-            let res = with_scope(&label, || {
-                engine.process_stream_durable(&batch, |_| None, None)
-            });
+            let res = with_scope(&self.labels[i], || engine.deliver(&batch));
             if let Err(e) = res {
                 self.pending[i].push_front(batch);
                 return Err(e);
@@ -1204,18 +1173,7 @@ impl ShardedFlow {
                 }
             }
         }
-        let label = shard_label(i);
-        let mut cfg = FlowEngine::builder()
-            .symmetrize(self.symmetrize)
-            .shard_label(label.clone())
-            .breaker_threshold(self.suspect_strikes.saturating_add(1));
-        if let Some(limit) = self.vertex_limit {
-            cfg = cfg.vertex_limit(limit);
-        }
-        if self.record_metrics {
-            cfg = cfg.recorder(Recorder::labeled(label));
-        }
-        let mut engine = cfg.build_with_graph(graph, props)?;
+        let mut engine = self.config.shard_config(i).build_with_graph(graph, props)?;
         engine.set_last_batch_time(self.clock);
         self.shards[i] = engine;
         self.pending[i].clear();
@@ -1499,7 +1457,7 @@ impl ShardedFlow {
             }
             serving += 1;
             let csr = engine.graph().snapshot();
-            pairs.extend(cc_local_forest(&csr, self.symmetrize));
+            pairs.extend(cc_local_forest(&csr, self.config.symmetrize));
         }
         if serving > 1 {
             let bytes = FOREST_PAIR_WIRE_BYTES * pairs.len() as u64;
@@ -1920,6 +1878,38 @@ mod tests {
         // 1's own rows from itself.
         fleet.kill_shard(2, "second kill");
         assert_eq!(fleet.merged_graph(), reference.merged_graph());
+    }
+
+    /// A shard rebuilt from its replica comes from the same recipe as
+    /// the rest of the fleet, so on a tiered fleet it spills again.
+    #[test]
+    fn replica_rebuilt_shard_keeps_its_tier() {
+        use crate::flow::{PageRankAnalytic, SelectionCriteria};
+        let dir = std::env::temp_dir().join(format!("ga-sharded-tier-{}", std::process::id()));
+        let tier = ga_graph::tier::TierConfig::new(&dir).segment_rows(8);
+        let mut fleet = ShardedFlow::builder(3)
+            .replicate(true)
+            .tiered(tier)
+            .build(64)
+            .unwrap();
+        drive(&mut fleet, 6, 600, 17);
+        fleet.kill_shard(1, "test kill");
+        let report = fleet.rebuild_shard(1).unwrap();
+        assert_eq!(report.source, RebuildSource::Replica);
+
+        let shard = fleet.shard_mut(1);
+        let idx = shard.register_analytic(Box::new(PageRankAnalytic { damping: 0.85 }));
+        shard.run_batch(&SelectionCriteria::TopKDegree { k: 4 }, idx);
+        assert!(
+            fleet.shards()[1].tier().is_some(),
+            "rebuilt shard lost its tier"
+        );
+        let rows = fleet.scrub_tiers();
+        assert!(
+            rows.iter().any(|(i, _, _)| *i == 1),
+            "no scrub row for shard 1"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -328,24 +328,6 @@ impl StreamEngine {
         self.dead_letters.drain(..).collect()
     }
 
-    /// Re-admit previously dead-lettered updates (after the operator
-    /// fixed the cause — e.g. raised the vertex limit). Each update is
-    /// re-validated at the current batch-time watermark, so entries that
-    /// were quarantined for `NonMonotonicTime` become admissible and
-    /// still-invalid entries are quarantined again.
-    ///
-    /// Returns `(applied, requarantined)`.
-    pub fn replay_dead_letters(&mut self, letters: Vec<QuarantinedUpdate>) -> (usize, usize) {
-        let before = self.stats.updates_quarantined;
-        let total = letters.len();
-        let time = self.last_batch_time;
-        for l in letters {
-            self.apply_one(&l.update, time, true);
-        }
-        let requarantined = self.stats.updates_quarantined - before;
-        (total - requarantined, requarantined)
-    }
-
     fn quarantine(&mut self, update: Update, time: Timestamp, reason: QuarantineReason) {
         self.stats.updates_quarantined += 1;
         if self.dead_letters.len() == DEAD_LETTER_CAP {
@@ -716,70 +698,6 @@ mod tests {
             }],
         });
         assert_eq!(e.events().len(), 1);
-    }
-
-    #[test]
-    fn dead_letters_drain_and_replay_after_fix() {
-        let mut e = StreamEngine::new(4);
-        e.set_vertex_limit(10);
-        e.apply_batch(&UpdateBatch {
-            time: 5,
-            updates: vec![
-                Update::EdgeInsert {
-                    src: 0,
-                    dst: 50, // beyond the (too-low) limit
-                    weight: 1.0,
-                },
-                Update::EdgeInsert {
-                    src: 1,
-                    dst: 2,
-                    weight: f32::NAN, // unfixable
-                },
-            ],
-        });
-        assert_eq!(e.stats().updates_quarantined, 2);
-        let letters = e.drain_dead_letters();
-        assert_eq!(letters.len(), 2);
-        assert_eq!(e.dead_letters().count(), 0);
-        // Operator fixes the cause, then replays.
-        e.set_vertex_limit(100);
-        let (applied, requarantined) = e.replay_dead_letters(letters);
-        assert_eq!((applied, requarantined), (1, 1));
-        assert!(e.graph().has_edge(0, 50));
-        // The NaN update is back in the dead-letter queue.
-        assert_eq!(e.dead_letters().count(), 1);
-        assert_eq!(
-            e.dead_letters().next().unwrap().reason,
-            QuarantineReason::NonFiniteWeight
-        );
-        assert_eq!(e.stats().updates_quarantined, 3);
-    }
-
-    #[test]
-    fn replay_readmits_nonmonotonic_updates_at_watermark() {
-        let mut e = StreamEngine::new(4);
-        e.apply_batch(&UpdateBatch {
-            time: 10,
-            updates: vec![Update::EdgeInsert {
-                src: 0,
-                dst: 1,
-                weight: 1.0,
-            }],
-        });
-        // Stale batch: whole thing dead-lettered.
-        e.apply_batch(&UpdateBatch {
-            time: 3,
-            updates: vec![Update::EdgeInsert {
-                src: 1,
-                dst: 2,
-                weight: 1.0,
-            }],
-        });
-        let letters = e.drain_dead_letters();
-        let (applied, requarantined) = e.replay_dead_letters(letters);
-        assert_eq!((applied, requarantined), (1, 0));
-        assert!(e.graph().has_edge(1, 2));
-        assert_eq!(e.last_batch_time(), 10);
     }
 
     #[test]

@@ -49,9 +49,9 @@
 //! * [`admission`] — bounded, priority-classed admission queue: the
 //!   overload front door that sheds bulk traffic first and never grows
 //!   past its configured capacity.
-//! * [`sharded`] — hash-partitioned update routing across N shard-local
-//!   engines with ghost (halo) edges, the stream half of the sharded
-//!   scale-out architecture (the flow-level driver lives in `ga-core`).
+//! * [`sharded`] — hash-partitioned update routing across N shards with
+//!   ghost (halo) edges, the stream half of the sharded scale-out
+//!   architecture (the shard-local engines live in `ga-core`).
 
 #![warn(missing_docs)]
 
@@ -77,5 +77,5 @@ pub use engine::{Monitor, StreamEngine};
 pub use epoch::{EpochSnapshot, SnapshotHandle, SnapshotReader};
 pub use events::{Event, EventKind};
 pub use queries::{Query, QueryResponse};
-pub use sharded::{ShardPlan, ShardRouter};
+pub use sharded::ShardPlan;
 pub use update::Update;

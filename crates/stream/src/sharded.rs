@@ -19,22 +19,20 @@
 //!    PageRank relies on.
 //!
 //! Resolving ghosts is therefore trivial: take each vertex's row from
-//! its owner shard and discard the rest ([`ShardRouter::merged_graph`]).
+//! its owner shard and discard the rest.
 //!
-//! The [`FlowEngine`]-level driver (checkpointing, scatter-gather
-//! analytics, per-shard recovery) lives in `ga-core`'s `sharded`
-//! module — the dependency arrow points from `ga-core` to this crate,
-//! so the flow-level router cannot live here.
-//!
-//! [`FlowEngine`]: https://docs.rs/ga-core
+//! The shard-local engines and that merge (`ShardedFlow`: routed
+//! ingest, checkpointing, scatter-gather analytics, per-shard recovery)
+//! live in `ga-core`'s `sharded` module — the dependency arrow points
+//! from `ga-core` to this crate, so the flow-level router cannot live
+//! here.
 
-use crate::engine::{StreamEngine, StreamStats};
 use crate::update::{Update, UpdateBatch};
-use ga_graph::{DynamicGraph, EdgeRecord, PropertyStore, Timestamp, VertexId};
+use ga_graph::VertexId;
 
 /// Per-update wire cost (bytes) assumed by the cross-shard traffic
 /// model — matches the WAL's batch encoding (`wal::encode_batch`) and
-/// the ingest span's network model in [`StreamEngine`].
+/// the ingest span's network model in [`crate::StreamEngine`].
 pub const UPDATE_WIRE_BYTES: u64 = 13;
 
 /// splitmix64 — the finalizer used to spread vertex ids across shards.
@@ -174,165 +172,10 @@ impl ShardPlan {
     }
 }
 
-/// N shard-local [`StreamEngine`]s behind one [`ShardPlan`] router.
-///
-/// This is the minimal (durability-free) sharded ingest path; the
-/// full-flow driver with per-shard WAL/checkpoints and scatter-gather
-/// analytics wraps `FlowEngine`s instead and lives in `ga-core`.
-pub struct ShardRouter {
-    plan: ShardPlan,
-    shards: Vec<StreamEngine>,
-    ghost_updates: u64,
-}
-
-impl ShardRouter {
-    /// `num_shards` engines, each pre-sized for `num_vertices` global
-    /// vertices and sharing the `symmetrize` setting.
-    pub fn new(num_shards: usize, num_vertices: usize, symmetrize: bool) -> ShardRouter {
-        let plan = ShardPlan::new(num_shards);
-        let shards = (0..num_shards)
-            .map(|_| {
-                let mut e = StreamEngine::new(num_vertices);
-                e.symmetrize = symmetrize;
-                e
-            })
-            .collect();
-        ShardRouter {
-            plan,
-            shards,
-            ghost_updates: 0,
-        }
-    }
-
-    /// The partition in force.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Shard-local engines (index = shard id).
-    pub fn shards(&self) -> &[StreamEngine] {
-        &self.shards
-    }
-
-    /// Mutable access to one shard's engine.
-    pub fn shard_mut(&mut self, i: usize) -> &mut StreamEngine {
-        &mut self.shards[i]
-    }
-
-    /// Route and apply one batch to every shard. Returns the total
-    /// number of quarantined updates across shards.
-    pub fn apply_batch(&mut self, batch: &UpdateBatch) -> usize {
-        let (sub, ghosts) = self.plan.route_batch(batch);
-        self.ghost_updates += ghosts;
-        sub.iter()
-            .zip(self.shards.iter_mut())
-            .map(|(b, s)| s.apply_batch(b))
-            .sum()
-    }
-
-    /// Ghost (second-copy) deliveries so far — the cross-shard ingest
-    /// traffic in updates; multiply by [`UPDATE_WIRE_BYTES`] for the
-    /// byte model.
-    pub fn ghost_updates(&self) -> u64 {
-        self.ghost_updates
-    }
-
-    /// Resolve ghosts into one global graph: vertex `v`'s row is taken
-    /// verbatim (slot order, tombstones and all) from `v`'s owner
-    /// shard, so the result is bit-identical to the graph an unsharded
-    /// engine would hold after the same batches.
-    pub fn merged_graph(&self) -> DynamicGraph {
-        let width = self
-            .shards
-            .iter()
-            .map(|s| s.graph().num_vertices())
-            .max()
-            .unwrap_or(0);
-        let last = self
-            .shards
-            .iter()
-            .map(|s| s.graph().last_update())
-            .max()
-            .unwrap_or(0);
-        merge_owned_rows(
-            width,
-            last,
-            |v| self.plan.owner(v),
-            |shard, v| self.shards[shard].graph().row_slots(v),
-        )
-    }
-
-    /// Merge per-shard property stores: each vertex's properties come
-    /// from its owner shard (property updates are routed only there).
-    pub fn merged_props(&self) -> PropertyStore {
-        merge_owned_props(
-            |v| self.plan.owner(v),
-            self.shards.iter().map(|s| s.props()),
-        )
-    }
-
-    /// Sum of the shards' ingest counters. Ghost deliveries are counted
-    /// on every shard that applied them, so e.g. `edges_inserted` can
-    /// exceed the unsharded count — that surplus *is* the replicated
-    /// cross-shard work.
-    pub fn summed_stats(&self) -> StreamStats {
-        let mut total = StreamStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            total.edges_inserted += st.edges_inserted;
-            total.edges_updated += st.edges_updated;
-            total.edges_deleted += st.edges_deleted;
-            total.deletes_missed += st.deletes_missed;
-            total.props_set += st.props_set;
-            total.batches += st.batches;
-            total.events_emitted += st.events_emitted;
-            total.updates_quarantined += st.updates_quarantined;
-        }
-        total
-    }
-}
-
-/// Assemble a global graph by taking each vertex's slot row from its
-/// owner shard. `row(shard, v)` must yield `v`'s raw row on that shard
-/// (empty when the shard never grew to `v`).
-pub fn merge_owned_rows<'a>(
-    width: usize,
-    last_update: Timestamp,
-    owner: impl Fn(VertexId) -> usize,
-    row: impl Fn(usize, VertexId) -> &'a [EdgeRecord],
-) -> DynamicGraph {
-    let rows: Vec<Vec<EdgeRecord>> = (0..width as VertexId)
-        .map(|v| row(owner(v), v).to_vec())
-        .collect();
-    DynamicGraph::from_rows(rows, last_update)
-}
-
-/// Merge property stores by vertex ownership: every `(name, vertex,
-/// value)` cell whose vertex is owned by the store's shard survives.
-pub fn merge_owned_props<'a>(
-    owner: impl Fn(VertexId) -> usize,
-    stores: impl Iterator<Item = &'a PropertyStore>,
-) -> PropertyStore {
-    let mut out = PropertyStore::new(0);
-    for (shard, store) in stores.enumerate() {
-        out.grow(store.num_vertices());
-        for name in store.column_names().into_iter().map(str::to_string) {
-            for v in 0..store.num_vertices() as VertexId {
-                if owner(v) != shard {
-                    continue;
-                }
-                if let Some(value) = store.get(&name, v) {
-                    out.set(&name, v, value);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StreamEngine;
     use crate::update::{into_batches, rmat_edge_stream};
 
     #[test]
@@ -479,31 +322,5 @@ mod tests {
             assert_eq!(b.time, 42);
         }
         assert!(ghosts > 0, "scale-6 rmat over 3 shards must cross shards");
-    }
-
-    #[test]
-    fn merged_graph_matches_unsharded_engine() {
-        for symmetrize in [false, true] {
-            for shards in [1usize, 2, 4] {
-                let mut reference = StreamEngine::new(64);
-                reference.symmetrize = symmetrize;
-                let mut router = ShardRouter::new(shards, 64, symmetrize);
-                for batch in into_batches(rmat_edge_stream(6, 1500, 0.25, 7), 100, 5) {
-                    reference.apply_batch(&batch);
-                    router.apply_batch(&batch);
-                }
-                let merged = router.merged_graph();
-                assert_eq!(
-                    merged,
-                    *reference.graph(),
-                    "{shards}-shard merge diverged (symmetrize={symmetrize})"
-                );
-                assert_eq!(
-                    merged.num_tombstones(),
-                    reference.graph().num_tombstones(),
-                    "{shards}-shard tombstones diverged (symmetrize={symmetrize})"
-                );
-            }
-        }
     }
 }

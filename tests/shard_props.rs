@@ -1,12 +1,14 @@
 //! Property-based tests (vendored proptest) for the sharding layer:
-//! hash-partition + ghost-edge routing must round-trip **slot-exactly**
-//! — the union of shard-local graphs, ghosts resolved by taking each
-//! vertex's row from its owner shard, is identical (tombstones,
-//! timestamps, slot order and all) to the graph an unsharded engine
-//! holds after the same update stream.
+//! hash-partition + ghost-edge routing through the production
+//! [`ShardedFlow`] must round-trip **slot-exactly** — the union of
+//! shard-local graphs, ghosts resolved by taking each vertex's row from
+//! its owner shard, is identical (tombstones, timestamps, slot order and
+//! all) to the graph an unsharded engine holds after the same update
+//! stream.
 
+use ga_core::sharded::ShardedFlow;
 use ga_stream::engine::StreamEngine;
-use ga_stream::sharded::{ShardPlan, ShardRouter};
+use ga_stream::sharded::ShardPlan;
 use ga_stream::update::{Update, UpdateBatch};
 use proptest::prelude::*;
 
@@ -58,18 +60,21 @@ proptest! {
         let symmetrize = sym == 1;
         let mut reference = StreamEngine::new(N as usize);
         reference.symmetrize = symmetrize;
-        let mut router = ShardRouter::new(shards, N as usize, symmetrize);
+        let mut fleet = ShardedFlow::builder(shards)
+            .symmetrize(symmetrize)
+            .build(N as usize)
+            .unwrap();
         for b in script_to_batches(&script, batch) {
             reference.apply_batch(&b);
-            router.apply_batch(&b);
+            fleet.process_batch(&b).unwrap();
         }
-        let merged = router.merged_graph();
+        let merged = fleet.merged_graph();
         // DynamicGraph equality is content-based over raw slot rows:
         // live records, tombstones, weights, and timestamps all count.
         prop_assert_eq!(&merged, reference.graph());
         prop_assert_eq!(merged.num_tombstones(), reference.graph().num_tombstones());
         prop_assert_eq!(merged.num_live_edges(), reference.graph().num_live_edges());
-        prop_assert_eq!(&router.merged_props(), reference.props());
+        prop_assert_eq!(&fleet.merged_props(), reference.props());
     }
 
     /// Every update lands on its owner shard(s) and nowhere else, and
