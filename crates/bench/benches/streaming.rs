@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ga_stream::engine::StreamEngine;
 use ga_stream::firehose::{FixedKeyDetector, TwoLevelDetector, UnboundedKeyDetector};
-use ga_stream::jaccard_stream::JaccardQueryEngine;
+use ga_stream::jaccard_stream::{JaccardMonitor, JaccardQueryEngine};
 use ga_stream::tri_inc::IncrementalTriangles;
 use ga_stream::update::{firehose_stream, into_batches, rmat_edge_stream, two_level_stream};
 use std::hint::black_box;
@@ -32,6 +32,22 @@ fn bench_update_ingest(c: &mut Criterion) {
             || {
                 let mut e = StreamEngine::new(1 << 14);
                 e.register(Box::new(IncrementalTriangles::new()));
+                (e, updates.clone())
+            },
+            |(mut e, ups)| {
+                for batch in into_batches(ups, 1000, 0) {
+                    e.apply_batch(&batch);
+                }
+                black_box(e.stats())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("with_jaccard_monitor", |b| {
+        b.iter_batched(
+            || {
+                let mut e = StreamEngine::new(1 << 14);
+                e.register(Box::new(JaccardMonitor::new(0.95)));
                 (e, updates.clone())
             },
             |(mut e, ups)| {

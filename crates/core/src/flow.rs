@@ -494,7 +494,11 @@ impl FlowConfig {
         self
     }
 
-    /// Mirror edge updates in both directions (default true).
+    /// Mirror edge updates in both directions (default true). The
+    /// streaming Jaccard monitor and query engine find every qualifying
+    /// pair only on this symmetric graph; with `false` the coefficients
+    /// they report stay exact, but pairs reachable only against edge
+    /// direction can be missed.
     pub fn symmetrize(mut self, symmetrize: bool) -> Self {
         self.symmetrize = symmetrize;
         self

@@ -64,6 +64,7 @@ pub mod epoch;
 pub mod events;
 pub mod firehose;
 pub mod jaccard_stream;
+mod marks;
 pub mod pr_inc;
 pub mod queries;
 pub mod sharded;

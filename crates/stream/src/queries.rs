@@ -212,7 +212,11 @@ pub(crate) fn run_on(csr: &CsrGraph, props: &PropertyStore, q: &Query) -> QueryR
         } => k_hop(csr, *vertex, *hops, *limit, Some((props, property, *min))),
         Query::ShortestPath { src, dst } => shortest_path(csr, *src, *dst),
         Query::SimilarVertices { vertex, tau } => {
-            QueryResponse::Scored(similar_vertices(csr, *vertex, *tau))
+            QueryResponse::Scored(if (*vertex as usize) < csr.num_vertices() {
+                ga_kernels::jaccard::for_vertex(csr, *vertex, *tau)
+            } else {
+                Vec::new()
+            })
         }
         Query::TopKByProperty { name, k } => QueryResponse::Scored(props.top_k_f64(name, *k)),
     }
@@ -324,39 +328,6 @@ fn shortest_path(csr: &CsrGraph, src: VertexId, dst: VertexId) -> QueryResponse 
         cost: dist[dst as usize],
         vertices,
     }
-}
-
-/// 2-hop Jaccard scan over the frozen CSR: all vertices with
-/// J(u, v) ≥ tau, descending coefficient, ties by id. One query costs
-/// O(Σ_{w∈N(u)} deg(w)) — the "10s of microseconds" E5/E7 workload.
-fn similar_vertices(csr: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64)> {
-    let n = csr.num_vertices();
-    if (u as usize) >= n {
-        return Vec::new();
-    }
-    let nu = csr.neighbors(u);
-    let deg_u = nu.len();
-    let mut shared: std::collections::HashMap<VertexId, usize> = std::collections::HashMap::new();
-    for &w in nu {
-        if (w as usize) >= n {
-            continue;
-        }
-        for &x in csr.neighbors(w) {
-            if x != u {
-                *shared.entry(x).or_default() += 1;
-            }
-        }
-    }
-    let mut out: Vec<(VertexId, f64)> = shared
-        .into_iter()
-        .filter_map(|(v, inter)| {
-            let union = deg_u + csr.degree(v) - inter;
-            let j = inter as f64 / union as f64;
-            (j >= tau && j > 0.0).then_some((v, j))
-        })
-        .collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
 }
 
 #[cfg(test)]

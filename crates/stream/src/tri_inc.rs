@@ -13,19 +13,22 @@
 
 use crate::engine::Monitor;
 use crate::events::{Event, EventKind};
+use crate::marks::VertexMarks;
 use crate::update::Update;
 use ga_graph::dynamic::ApplyResult;
 use ga_graph::{DynamicGraph, Timestamp, VertexId};
-use std::collections::HashMap;
 
 /// Incremental global + per-vertex triangle counts.
 pub struct IncrementalTriangles {
     global: u64,
-    per_vertex: HashMap<VertexId, u64>,
+    /// Count per vertex id, grown with the graph.
+    per_vertex: Vec<u64>,
     /// Emit a GlobalValue event whenever the global count crosses a
     /// multiple of this stride (0 = never).
     pub report_stride: u64,
     last_reported: u64,
+    /// Neighbours of the endpoint with the longer row (reused scratch).
+    marks: VertexMarks,
 }
 
 impl IncrementalTriangles {
@@ -33,9 +36,10 @@ impl IncrementalTriangles {
     pub fn new() -> Self {
         IncrementalTriangles {
             global: 0,
-            per_vertex: HashMap::new(),
+            per_vertex: Vec::new(),
             report_stride: 0,
             last_reported: 0,
+            marks: VertexMarks::default(),
         }
     }
 
@@ -46,7 +50,7 @@ impl IncrementalTriangles {
 
     /// Current count for one vertex.
     pub fn vertex(&self, v: VertexId) -> u64 {
-        self.per_vertex.get(&v).copied().unwrap_or(0)
+        self.per_vertex.get(v as usize).copied().unwrap_or(0)
     }
 
     /// Live local clustering coefficient of `v`: maintained triangle
@@ -62,13 +66,36 @@ impl IncrementalTriangles {
         }
     }
 
-    fn common_neighbors(g: &DynamicGraph, u: VertexId, v: VertexId) -> Vec<VertexId> {
-        let nu: std::collections::HashSet<VertexId> = g.neighbor_ids(u).collect();
-        g.neighbor_ids(v).filter(|w| nu.contains(w)).collect()
+    /// Credit `sign` to every common neighbour of `u` and `v` — marking
+    /// the longer row, walking the shorter — and return their number.
+    fn bump_common_neighbors(
+        &mut self,
+        g: &DynamicGraph,
+        u: VertexId,
+        v: VertexId,
+        sign: i64,
+    ) -> i64 {
+        let (short, long) = if g.row_slots(u).len() <= g.row_slots(v).len() {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.marks.clear(g.num_vertices());
+        for w in g.neighbor_ids(long) {
+            self.marks.insert(w);
+        }
+        let mut common = 0;
+        for w in g.neighbor_ids(short) {
+            if self.marks.contains(w) {
+                common += 1;
+                self.bump(w, sign);
+            }
+        }
+        common
     }
 
     fn bump(&mut self, v: VertexId, delta: i64) {
-        let e = self.per_vertex.entry(v).or_insert(0);
+        let e = &mut self.per_vertex[v as usize];
         *e = (*e as i64 + delta) as u64;
     }
 }
@@ -99,17 +126,16 @@ impl Monitor for IncrementalTriangles {
             Update::EdgeDelete { src, dst } if result == ApplyResult::Deleted => (src, dst, -1i64),
             _ => return,
         };
-        let common = Self::common_neighbors(g, u, v);
-        let delta = common.len() as i64 * sign;
+        if self.per_vertex.len() < g.num_vertices() {
+            self.per_vertex.resize(g.num_vertices(), 0);
+        }
+        let delta = self.bump_common_neighbors(g, u, v, sign) * sign;
         if delta == 0 {
             return;
         }
         self.global = (self.global as i64 + delta) as u64;
-        self.bump(u, sign * common.len() as i64);
-        self.bump(v, sign * common.len() as i64);
-        for w in common {
-            self.bump(w, sign);
-        }
+        self.bump(u, delta);
+        self.bump(v, delta);
         if self.report_stride > 0 && self.global / self.report_stride != self.last_reported {
             self.last_reported = self.global / self.report_stride;
             out.push(Event {
@@ -129,7 +155,7 @@ mod tests {
     use super::*;
     use crate::engine::StreamEngine;
     use crate::update::{into_batches, rmat_edge_stream, UpdateBatch};
-    use ga_kernels::triangles::count_global;
+    use ga_kernels::triangles::{count_global, count_per_vertex};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -220,6 +246,9 @@ mod tests {
             .map(|v| counter.borrow().vertex(v))
             .sum();
         assert_eq!(sum, 3 * batch_count);
+        for (v, &want) in count_per_vertex(&snapshot).iter().enumerate() {
+            assert_eq!(counter.borrow().vertex(v as VertexId), want, "v={v}");
+        }
     }
 
     #[test]
