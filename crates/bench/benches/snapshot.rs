@@ -6,16 +6,23 @@
 //!   per-row sorts) at least as fast as the legacy tuple-materializing
 //!   global-sort `CsrBuilder` path on a full rebuild?
 //! * `snapshot_delta` — how much does the dirty-row delta rebuild save
-//!   at 0.1% / 1% / 10% dirty rows on an R-MAT stream? (The ≥5x-at-≤1%
+//!   at 0.1% / 1% / 10% evenly strided dirty rows? (The ≥5x-at-≤1%
 //!   criterion; `bench_snapshot` emits the machine-readable numbers.)
+//!   Its `rmat_hubs_held` case is the serving pattern instead: each
+//!   rebuild follows a batch of 63 R-MAT updates, which dirty hub rows,
+//!   and the newest generation stays held until the next one replaces
+//!   it, as a publishing `SnapshotHandle` holds it.
 //!
 //! Scale defaults to 16; override with `GA_BENCH_SCALE` (CI smoke uses
 //! 10).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use ga_bench::apply_symmetric;
 use ga_graph::gen;
 use ga_graph::snapshot::{freeze, SnapshotCache};
 use ga_graph::{DynamicGraph, Parallelism};
+use ga_stream::update::rmat_edge_stream;
+use std::cell::RefCell;
 use std::hint::black_box;
 
 fn scale() -> u32 {
@@ -87,6 +94,26 @@ fn bench_delta_rebuild(c: &mut Criterion) {
             )
         });
     }
+    // Setup applies the next batch to the graph (untimed); the routine
+    // is the rebuild alone, after which the new generation replaces
+    // the held one.
+    let scale = scale();
+    let g = RefCell::new(rmat_dynamic(scale, 8, 3));
+    let mut cache = SnapshotCache::new();
+    let mut held = cache.snapshot(&g.borrow(), Parallelism::Auto);
+    let mut batch = 0u64;
+    group.bench_function("rmat_hubs_held", |b| {
+        b.iter_batched(
+            || {
+                batch += 1;
+                let updates = rmat_edge_stream(scale, 63, 0.05, batch);
+                apply_symmetric(&mut g.borrow_mut(), &updates, 1_000_000 + batch);
+            },
+            |()| held = cache.snapshot(&g.borrow(), Parallelism::Auto),
+            BatchSize::SmallInput,
+        )
+    });
+    drop(held);
     group.finish();
 }
 

@@ -8,7 +8,14 @@
 //! * `legacy_full_ms` — the old tuple-materializing global-sort freeze,
 //! * `rowwise_full_ms` — the row-wise counting-sort freeze (serial and
 //!   parallel),
-//! * `delta_ms` at 0.1% / 1% / 10% dirty rows — the cached rebuild.
+//! * `delta_ms` at 0.1% / 1% / 10% dirty rows — the cached rebuild,
+//!   with evenly strided dirty rows and the previous CSR dropped;
+//! * `hub_churn` — the serving pattern: batches of 63 R-MAT updates
+//!   (5 % deletes, both directions of each edge), one rebuild per
+//!   batch, the newest generation held until the next one replaces it
+//!   the way a publishing `SnapshotHandle` holds it. R-MAT dirties hub
+//!   rows, and the held generation keeps the cache from reusing the
+//!   arrays it is still serving.
 //!
 //! The acceptance criteria this file certifies: row-wise full freeze no
 //! slower than legacy, and delta ≥5x faster than a full legacy rebuild
@@ -17,12 +24,15 @@
 //! ```sh
 //! cargo run --release -p ga-bench --bin bench_snapshot
 //! # smoke (CI): GA_BENCH_SMOKE=1 shrinks to scale 12, 3 reps
+//! # embed another commit's output (same bin, same machine) as "baseline"
+//! cargo run --release -p ga-bench --bin bench_snapshot -- --baseline parent.json
 //! ```
 
-use ga_bench::{header, smoke};
+use ga_bench::{apply_symmetric, header, smoke};
 use ga_graph::gen;
 use ga_graph::snapshot::{freeze, SnapshotCache};
 use ga_graph::{DynamicGraph, Parallelism};
+use ga_stream::update::rmat_edge_stream;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -60,6 +70,54 @@ fn dirty_rows(g: &mut DynamicGraph, frac: f64, ts: u64) -> usize {
         touched += 1;
     }
     touched
+}
+
+/// What the hub-churn case measured.
+struct HubChurn {
+    batches: usize,
+    /// Median wall time of one rebuild, ms.
+    ms: f64,
+    rows_dirty_mean: f64,
+    /// Slots (live + tombstoned) of the dirty rows, per batch.
+    slots_dirty_mean: f64,
+    max_dirty_row_slots: usize,
+}
+
+/// Rebuild once per batch of 63 R-MAT updates, holding the newest
+/// generation until the next one is served.
+fn hub_churn(g: &mut DynamicGraph, scale: u32, batches: usize) -> HubChurn {
+    const BATCH: usize = 63;
+    let stream = rmat_edge_stream(scale, BATCH * batches, 0.05, 0xf1e);
+    let mut cache = SnapshotCache::new();
+    let mut held = cache.snapshot(g, Parallelism::Auto);
+    let (mut rows, mut slots, mut max_slots) = (0usize, 0usize, 0usize);
+    let mut samples = Vec::with_capacity(batches);
+    for (b, chunk) in stream.chunks(BATCH).enumerate() {
+        let since = g.version();
+        apply_symmetric(g, chunk, 1_000_000 + b as u64);
+        for u in 0..g.num_vertices() as u32 {
+            if g.row_changed_since(u, since) {
+                let len = g.row_slots(u).len();
+                rows += 1;
+                slots += len;
+                max_slots = max_slots.max(len);
+            }
+        }
+        let t = Instant::now();
+        let next = cache.snapshot(g, Parallelism::Auto);
+        samples.push(t.elapsed().as_secs_f64() * 1e3);
+        // The handle swaps in the new generation, then lets the old go.
+        held = black_box(next);
+    }
+    drop(held);
+    samples.sort_by(|a, b| a.total_cmp(b));
+    HubChurn {
+        batches,
+        ms: samples[samples.len() / 2],
+        rows_dirty_mean: rows as f64 / batches as f64,
+        slots_dirty_mean: slots as f64 / batches as f64,
+        max_dirty_row_slots: max_slots,
+    }
 }
 
 struct DeltaPoint {
@@ -127,6 +185,18 @@ fn main() {
         });
     }
 
+    let churn_batches = if smoke { 40 } else { 300 };
+    let mut gc = rmat_dynamic(scale, edges_per_v, 3);
+    let churn = hub_churn(&mut gc, scale, churn_batches);
+    println!(
+        "hub churn: {} batches, {:.0} rows / {:.0} slots dirty per batch (largest row {}), {:9.3} ms per rebuild",
+        churn.batches,
+        churn.rows_dirty_mean,
+        churn.slots_dirty_mean,
+        churn.max_dirty_row_slots,
+        churn.ms
+    );
+
     // Hand-rolled JSON (no serde in the dependency budget).
     let mut j = String::new();
     j.push_str("{\n");
@@ -134,6 +204,8 @@ fn main() {
     j.push_str(&format!("  \"vertices\": {n},\n"));
     j.push_str(&format!("  \"edges\": {m},\n"));
     j.push_str(&format!("  \"smoke\": {smoke},\n"));
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    j.push_str(&format!("  \"nproc\": {nproc},\n"));
     j.push_str(&format!("  \"reps\": {reps},\n"));
     j.push_str(&format!("  \"legacy_full_ms\": {legacy_ms:.4},\n"));
     j.push_str(&format!(
@@ -155,6 +227,25 @@ fn main() {
         ));
     }
     j.push_str("  ],\n");
+    j.push_str(&format!(
+        "  \"hub_churn\": {{\"batches\": {}, \"batch_updates\": 63, \"rows_dirty_mean\": {:.1}, \"slots_dirty_mean\": {:.1}, \"max_dirty_row_slots\": {}, \"ms\": {:.4}}},\n",
+        churn.batches,
+        churn.rows_dirty_mean,
+        churn.slots_dirty_mean,
+        churn.max_dirty_row_slots,
+        churn.ms
+    ));
+    // `--baseline <file>`: the same bin's JSON from another commit,
+    // embedded verbatim so one file carries the before/after pair.
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(path) = args
+        .iter()
+        .position(|a| a == "--baseline")
+        .and_then(|i| args.get(i + 1))
+    {
+        let base = std::fs::read_to_string(path).expect("read --baseline file");
+        j.push_str(&format!("  \"baseline\": {},\n", base.trim()));
+    }
     let rowwise_ok = rowwise_serial_ms <= legacy_ms * 1.05 || rowwise_parallel_ms <= legacy_ms;
     let delta_ok = deltas
         .iter()

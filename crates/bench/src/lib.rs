@@ -56,6 +56,30 @@ pub fn smoke() -> bool {
         || std::env::args().any(|a| a == "--smoke")
 }
 
+/// Apply the edge inserts and deletes of `updates` to `g` in both
+/// directions at time `ts`, as the engine's symmetric ingest does; the
+/// snapshot benches drive their serving-pattern case with it.
+pub fn apply_symmetric(
+    g: &mut ga_graph::DynamicGraph,
+    updates: &[ga_stream::update::Update],
+    ts: u64,
+) {
+    use ga_stream::update::Update;
+    for up in updates {
+        match *up {
+            Update::EdgeInsert { src, dst, weight } => {
+                g.insert_edge(src, dst, weight, ts);
+                g.insert_edge(dst, src, weight, ts);
+            }
+            Update::EdgeDelete { src, dst } => {
+                g.delete_edge(src, dst, ts);
+                g.delete_edge(dst, src, ts);
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -153,7 +153,8 @@ pub struct AnalyticsStats {
 /// memory" step of Fig. 2 the model prices).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// CSR snapshot rebuilds (full + delta) the batch path performed.
+    /// CSR snapshot rebuilds (full + delta) the batch path and epoch
+    /// publication performed.
     pub rebuilds: usize,
     /// Rows whose CSR slices were reused from the previous snapshot
     /// instead of re-sorted (the delta path's savings).
@@ -805,6 +806,7 @@ impl FlowEngine {
         } else {
             None
         };
+        self.drain_snapshot_stats();
         let serve = self.serve.as_mut().unwrap();
         let props = match &serve.props {
             Some((v, arc)) if *v == props_version => Arc::clone(arc),
@@ -823,6 +825,15 @@ impl FlowEngine {
             props,
         });
         serve.last = Some((stamp, props_version));
+    }
+
+    /// Fold the snapshot cache's counters into [`FlowStats::snapshots`]:
+    /// both the batch path and epoch publication rebuild snapshots.
+    fn drain_snapshot_stats(&mut self) {
+        let snap_stats = self.stream.take_snapshot_stats();
+        self.stats.snapshots.rebuilds += snap_stats.rebuilds() as usize;
+        self.stats.snapshots.rows_reused += snap_stats.rows_reused as usize;
+        self.stats.snapshots.mem_bytes += snap_stats.mem_bytes as usize;
     }
 
     /// The live segment tier, if [`FlowConfig::tiered`] is on and a
@@ -1003,10 +1014,7 @@ impl FlowEngine {
             self.stream
                 .compressed_csr_snapshot(self.kernel_ctx.parallelism);
         }
-        let snap_stats = self.stream.take_snapshot_stats();
-        self.stats.snapshots.rebuilds += snap_stats.rebuilds() as usize;
-        self.stats.snapshots.rows_reused += snap_stats.rows_reused as usize;
-        self.stats.snapshots.mem_bytes += snap_stats.mem_bytes as usize;
+        self.drain_snapshot_stats();
         if let Some(cfg) = &self.tier_config {
             // Respill only when the snapshot actually changed; a repeat
             // trigger on an unchanged graph keeps the warm tier. Spill
@@ -2384,5 +2392,32 @@ mod tests {
         let s3 = e.stats();
         assert_eq!(s3.snapshots.rebuilds, 2);
         assert_eq!(s3.snapshots.rows_reused, 38, "40 rows - 2 dirty");
+    }
+
+    #[test]
+    fn serving_publishes_account_delta_rebuilds() {
+        let mut e = engine_with_ring(40);
+        e.serve_handle();
+        let first = e.stats().snapshots;
+        assert_eq!(first.rebuilds, 1, "serving starts with one full freeze");
+        let batches = 5;
+        for i in 0..batches {
+            e.process_stream(
+                &UpdateBatch {
+                    time: 10 + i as u64,
+                    updates: vec![Update::EdgeInsert {
+                        src: i,
+                        dst: 20 + i,
+                        weight: 1.0,
+                    }],
+                },
+                |_| None,
+                None,
+            );
+        }
+        let s = e.stats().snapshots;
+        assert_eq!(s.rebuilds - first.rebuilds, batches as usize);
+        assert!(s.rows_reused > 0, "delta rebuilds reuse clean rows");
+        assert!(s.mem_bytes > first.mem_bytes);
     }
 }

@@ -159,6 +159,12 @@ impl DynamicGraph {
         self.row_version.iter().filter(|&&rv| rv > since).count()
     }
 
+    /// Per-row change stamps, one per row: the dirty-row scan of a
+    /// delta rebuild reads them in one pass.
+    pub(crate) fn row_versions(&self) -> &[u64] {
+        &self.row_version
+    }
+
     /// Bump the change counter and stamp row `u` with it.
     #[inline]
     fn touch_row(&mut self, u: VertexId) {

@@ -216,7 +216,7 @@ impl StreamEngine {
     }
 
     /// Drain the snapshot-cache counters (the flow engine folds them
-    /// into `FlowStats` after each batch run).
+    /// into `FlowStats` after each batch run and epoch publication).
     pub fn take_snapshot_stats(&mut self) -> SnapshotStats {
         self.snapshots.take_stats()
     }

@@ -123,10 +123,15 @@ impl SnapshotHandle {
                 return false;
             }
         }
-        *slot = Some(Arc::new(snap));
+        let displaced = slot.replace(Arc::new(snap));
         // Bump under the write lock so a refreshing reader always pairs
         // the slot it cloned with a seq at least as new.
         self.shared.seq.fetch_add(1, Ordering::Release);
+        drop(slot);
+        // When the slot held the last reference, dropping it frees a
+        // whole generation of CSR arrays: do that after releasing the
+        // lock, so refreshing readers do not wait on the free.
+        drop(displaced);
         true
     }
 
@@ -239,6 +244,17 @@ mod tests {
         assert!(h.publish(snap(5, &[(1, 0)])), "same epoch re-publishable");
         assert!(h.publish(snap(6, &[(2, 0)])));
         assert_eq!(h.load().unwrap().stamp.epoch, 6);
+    }
+
+    #[test]
+    fn displaced_generation_is_freed_by_publish() {
+        let h = SnapshotHandle::new();
+        let first = snap(1, &[(0, 1)]);
+        let csr = Arc::downgrade(&first.csr);
+        h.publish(first);
+        assert!(csr.upgrade().is_some());
+        h.publish(snap(2, &[(1, 0)]));
+        assert!(csr.upgrade().is_none(), "slot held the last reference");
     }
 
     #[test]
